@@ -2,51 +2,45 @@
 
 Yukta's evaluation is dominated by simulating many *independent* board
 instances — (scheme × workload × seed) matrix cells, fault-campaign
-replicas, and the excitation experiments behind characterization.  The
-single-board fast path (:mod:`repro.board.fastpath`) already hoists the
-step-invariants of one board out of the tick loop; :class:`BoardBank`
-goes one axis further and advances ``B`` boards *in lockstep*, holding
-the genuinely sequential per-tick state as structure-of-arrays (one
-NumPy lane per board) so each tick is a handful of vectorized kernels
-instead of ``B`` Python interpreter passes:
+replicas, and the excitation experiments behind characterization.
+:class:`BoardBank` advances ``B`` boards *in lockstep*, holding the
+genuinely sequential per-tick state as structure-of-arrays (one NumPy
+lane per board) so each tick is a handful of vectorized kernels instead
+of ``B`` Python interpreter passes.
 
-* hot-spot temperature, dynamic/leakage/idle power, and energy
-  integrate as ``(2, B)`` / ``(B,)`` arrays (clusters stacked on the
-  leading axis);
-* the windowed power sensors and performance counters update under
-  boolean latch masks;
-* per-board temperature-sensor noise is pre-drawn in blocks from each
-  board's own generator (NumPy ``Generator`` draws are bit-identical
-  whether batched or sequential — asserted by the test suite) and the
-  generator is rewound to the exact number of draws consumed, so RNG
-  streams match scalar stepping;
-* the emergency-firmware threshold state machine runs as masked array
-  updates — with a window-level contraction bound that proves, up
-  front, that no lane can trip this window, collapsing the machine to
-  one vector op per tick in the common case;
-* application crediting runs as per-slot scatter-adds over a flat cell
-  array (threads' barrier budgets, apps' shared pools, completed
-  instructions) for as long as a conservatively computed horizon
-  guarantees no budget can clamp or run dry — the exact floating-point
-  subtraction sequence scalar ``Application.execute`` performs.
+One lane×tick kernel
+--------------------
+:meth:`BoardBank._run_vector_window` is the bank's only vectorized
+stepping kernel.  It takes the window's lanes and a list of per-period
+*segments* — each carrying that period's window plans, their stacked plan
+terms, its credit schedule, and its tick count — and:
 
-Planning is also amortized: the bank passes a shared memo to
-:func:`repro.board.fastpath.plan_window`, so boards at the same
-operating point (same spec object, effective frequencies, core counts,
-and per-core phase characteristics) reuse one window plan's math
-across lanes *and* across control periods.
+* gathers board state into a ``(13, B)`` lane matrix once per window,
+  steps every segment (rebinding the plan-constant matrices at segment
+  boundaries), and scatters the state back once;
+* integrates hot-spot temperature, power and energy as ``(2, B)`` /
+  ``(B,)`` arrays and updates the windowed power sensors and performance
+  counters under boolean latch masks;
+* pre-draws each board's temperature-sensor noise from that board's own
+  generator (batched draws equal sequential ones) and rewinds it to the
+  draws actually consumed when the window stops early;
+* runs the emergency-firmware machine as masked array updates, or — when
+  :meth:`BoardBank._no_trip_bound` proves no lane can trip over the
+  elementwise max of the segments' power maps — collapses it to the
+  under-limit clocks;
+* credits applications by per-slot scatter-adds over a flat cell array
+  for as long as a conservative horizon guarantees no budget can clamp
+  or run dry, then by ordinary ``execute`` calls.
 
-On top of the per-period kernel, :meth:`BoardBank.run_schedule_bank`
-*fuses* whole DVFS schedules: it validates and snaps up to
-``block_periods`` upcoming frequency commands at once, plans every lane
-for every distinct operating point in the block, proves one no-trip
-temperature bound and one credit horizon for the whole block, and then
-advances all lanes ``K x period_steps`` ticks in a single resident
-pass — board state is gathered and scattered once per block instead of
-once per period, and no per-board Python actuation code runs between
-fused periods.  Blocks that cannot be proven quiet fall back to the
-exact per-period path one period at a time and retry fusing from the
-next period.
+Two entry points feed it.  :meth:`BoardBank.run_period_bank` passes one
+segment per window, with the emergency state machine live and
+membership stops armed.  :meth:`BoardBank.run_schedule_bank` resolves a
+block of up to ``block_periods`` DVFS commands, plans every lane at every
+distinct operating point, proves the block quiet and inside the credit
+horizon, and passes ``K`` segments; blocks it cannot prove fall back to
+the per-period path one period at a time.  Planning is amortized
+across lanes and periods through a shared memo passed to
+:func:`repro.board.fastpath.plan_window` and tiered plan caches.
 
 Exactness contract
 ------------------
@@ -95,6 +89,16 @@ def _power_emergency_cap(spec, name):
     cspec = spec.cluster(name)
     return cspec.freq_range.snap(
         cspec.freq_range.low + 0.3 * cspec.freq_range.span
+    )
+
+
+def _throttled(em):
+    """Is any lane's emergency firmware currently throttling?"""
+    return any(
+        e.state.thermal_throttled
+        or e.state.power_throttled[BIG]
+        or e.state.power_throttled[LITTLE]
+        for e in em
     )
 
 
@@ -293,7 +297,7 @@ class BoardBank:
         self.power_violation_time = np.zeros(n)
         self._tick_hooks = {}
         self._plan_memo = {}
-        # Plan/schedule reuse state (see _plan_for and _run_vector_window):
+        # Plan/schedule reuse state (see _plan_for and _credit_schedule_for):
         # _replan_cache holds each board's last WindowPlan plus the change
         # counters it is conditioned on; _board_gen ticks whenever a
         # board's thread/app identity may have changed (full replans);
@@ -317,11 +321,11 @@ class BoardBank:
         # board's _placement_epoch, so an unchanged epoch proves the
         # stall-peel pre-pass has nothing to drain and can be skipped.
         self._stall_free = [None] * n
-        # Fused-kernel state: validated/snapped schedule entries keyed by
-        # raw command pair, and whole-block no-trip temperature bounds
-        # keyed by the block's operating-point set.
+        # Validated/snapped schedule entries keyed by raw command pair, and
+        # proven no-trip temperature bounds keyed by a window's
+        # operating-point set (see _no_trip_bound).
         self._snap_cache = {}
-        self._fused_ub = {}
+        self._ub_cache = {}
         self._build_constants()
         # Introspection counters (mirrored into telemetry when enabled).
         self.vector_ticks = 0  # board-ticks executed by the vector kernel
@@ -379,8 +383,8 @@ class BoardBank:
         c["noise_rms"] = np.array(
             [b.temp_sensor.noise_rms for b in boards]
         )
-        # The window-level no-trip bound (see _run_vector_window) relies on
-        # the thermal/power fixed point being monotone in temperature.
+        # The no-trip bound (see _no_trip_bound) relies on the
+        # thermal/power fixed point being monotone in temperature.
         c["monotone"] = bool(
             (c["resistance"] >= 0).all()
             and (c["lweight"] >= 0).all()
@@ -442,10 +446,6 @@ class BoardBank:
             "fused_ticks": self.fused_ticks,
             "events": dict(self.events),
         }
-
-    def step_bank(self):
-        """Advance every unfinished board by exactly one tick."""
-        return self.run_period_bank(1)
 
     def run_period_bank(self, n_steps, only=None):
         """Advance up to ``n_steps`` ticks on every selected board.
@@ -569,7 +569,11 @@ class BoardBank:
                     pending = retry
                     continue
                 window = min(remaining[i] for i in pending)
-            ran = self._run_vector_window(pending, plans, window)
+            key_boards = tuple(pending)
+            segment = (plans, self._lane_terms(key_boards, pending, plans),
+                       *self._credit_schedule_for(key_boards, pending, plans),
+                       window, None)
+            ran = self._run_vector_window(pending, [segment])
             survivors = []
             for i in pending:
                 executed[i] += ran
@@ -722,11 +726,15 @@ class BoardBank:
         content, effective frequencies and core counts (which fold in the
         emergency caps), and the emergency snapshot.  Returns ``None``
         when planning would refuse anyway (migration stall, nothing
-        runnable) — callers then fall through to :func:`plan_window` for
-        the authoritative refusal.
+        runnable) or when the placement still holds a different thread set
+        than the live runnable one: :func:`plan_window` must then run the
+        placement-membership refresh it performs (a key taken before that
+        refresh would serve a plan while leaving the stale assignment in
+        place) — callers fall through to :func:`plan_window` for both.
         """
         board = index_or_board
         apps_sig = []
+        live = set()
         for app in board.applications:
             if app.done:
                 continue
@@ -735,7 +743,8 @@ class BoardBank:
                 if thread.migration_stall > 0:
                     return None
             apps_sig.append((app, tuple(runnable)))
-        if not apps_sig:
+            live.update(runnable)
+        if not apps_sig or live != set(board.placement.all_threads()):
             return None
         assignment = board.placement.assignment
         return (
@@ -937,7 +946,6 @@ class BoardBank:
                 np.array([[p.instructions for p in pb],
                           [p.instructions for p in pl]]),
                 bool((leak_arr >= 0.0).all()),
-                [None],  # cached no-trip temperature bound
             )
             if len(self._lane_cache) > 256:
                 self._lane_cache.clear()
@@ -945,7 +953,13 @@ class BoardBank:
         return lanes
 
     def _credit_schedule_for(self, key_boards, indices, plans):
-        """A (cached) :class:`_CreditSchedule` for one window's plans."""
+        """A (cached) :class:`_CreditSchedule` plus membership guards.
+
+        Keyed by the identity of each board's credit amounts plus its
+        membership generation; verified against the live works objects
+        (held by the cached schedule) so id() reuse cannot alias.  A
+        cached schedule is refreshed from the live cell values.
+        """
         works_list = [plans[i].works for i in indices]
         board_gen = self._board_gen
         sched_key = (key_boards, self._plan_gen,
@@ -956,6 +970,7 @@ class BoardBank:
             cached is not None
             and all(a is b for a, b in zip(cached[0].plan_ident, works_list))
         ):
+            cached[0].refresh()
             return cached
         schedule = _CreditSchedule(indices, plans)
         schedule.plan_ident = works_list
@@ -965,8 +980,92 @@ class BoardBank:
         self._sched_cache[sched_key] = (schedule, guards)
         return schedule, guards
 
+    def _no_trip_bound(self, S, T, terms_list):
+        """Prove that no lane can change emergency state, or return False.
+
+        ``terms_list`` holds the :meth:`_lane_terms` of every operating
+        point the window may run, in any order.  Power is monotone
+        nondecreasing in temperature (leak_temp_coeff >= 0 and leak_base
+        >= 0, both checked), so iterating Tub <- max(Tub, target(Tub)),
+        with ``target`` the elementwise max over the operating points'
+        thermal targets, yields a fixed-point upper bound on each lane's
+        temperature trajectory through any sequence of those points.  If
+        that bound and the matching power ceilings clear every trip
+        threshold (with an absolute margin crushing per-tick rounding), the
+        per-tick firmware machine collapses to the under-limit clocks.
+
+        A proven bound is cached per operating-point set: it stays a valid
+        ceiling for any later window of the same lanes that starts at or
+        below it (same monotone induction), which skips the iteration.
+        The entry holds the terms themselves, so its id() key cannot alias.
+        """
+        if (
+            not self._const["monotone"]
+            or not all(t[7] for t in terms_list)  # leak_ok
+            or _throttled(S["em"])
+        ):
+            return False
+        key = tuple(map(id, terms_list))
+        cached = self._ub_cache.get(key)
+        if cached is not None and bool((T <= cached[1]).all()):
+            return True
+        ambient = S["ambient"]
+        resistance = S["resistance"]
+        lweight = S["lweight"]
+
+        def power_ubs(Tub):
+            return [
+                dyn_m + leak_m * np.maximum(
+                    1.0 + ltc_m * (Tub - _REFERENCE_TEMP), 0.2
+                ) + idle_m
+                for _, _, dyn_m, leak_m, ltc_m, idle_m, _, _ in terms_list
+            ]
+
+        def closes(Tub, p_ubs):
+            target = None
+            for p_ub in p_ubs:
+                t_e = ambient + resistance * (p_ub[0] + lweight * p_ub[1])
+                target = t_e if target is None else np.maximum(target, t_e)
+            return target, bool((target <= Tub).all())
+
+        Tub = T
+        for _ in range(6):
+            p_ubs = power_ubs(Tub)
+            target, ok = closes(Tub, p_ubs)
+            if ok:
+                break
+            Tub = np.maximum(Tub, target)
+        else:
+            # Tub was raised to max(Tub, target) on the last pass, so
+            # re-verify the bound at the raised candidate first.  If float
+            # arithmetic still hasn't closed (the gap contracts
+            # geometrically but float equality can take a dozen
+            # iterations), any X with target(X) <= X bounds the trajectory
+            # by the same induction: pad the candidate past the fixed point
+            # and verify the bound once.
+            p_ubs = power_ubs(Tub)
+            target, ok = closes(Tub, p_ubs)
+            if not ok:
+                gap = float((target - Tub).max())
+                if gap >= 1e-3:
+                    return False  # no contraction: exact path
+                Tub = Tub + 2.0 * gap + 1e-9
+                p_ubs = power_ubs(Tub)
+                if not closes(Tub, p_ubs)[1]:
+                    return False
+        if not (
+            (Tub < S["temp_trip"] - 1e-9).all()
+            and all((p_ub < S["thresh"] - 1e-9).all() for p_ub in p_ubs)
+            and all((p_ub < S["limit"] - 1e-9).all() for p_ub in p_ubs)
+        ):
+            return False
+        if len(self._ub_cache) > 256:
+            self._ub_cache.clear()
+        self._ub_cache[key] = (terms_list, Tub)
+        return True
+
     # ------------------------------------------------------------------
-    # Fused multi-period kernel
+    # Fused multi-period schedules
     # ------------------------------------------------------------------
     def run_schedule_bank(self, freqs_big, freqs_little, only=None,
                           block_periods=32):
@@ -978,20 +1077,20 @@ class BoardBank:
         — exactly the campaign loop callers write by hand around
         :meth:`run_period_bank`, with bit-identical resulting board state.
 
-        The win is *fusion*: the kernel precompiles up to ``block_periods``
+        The win is *fusion*: this path precompiles up to ``block_periods``
         upcoming periods at a time — actuation commands validated and
         snapped once per distinct ``(big, little)`` pair, window plans
         resolved per distinct operating point, per-core credit vectors and
         the no-trip emergency bound proven for the whole block — and then
-        advances all lanes the whole block in one resident pass: board
-        state is gathered into the lane matrix once per block instead of
-        once per period, and no Python-level driver code runs between
-        periods.  Whenever a block cannot be proven quiet (a throttled
-        lane, a draining stall, an application within its phase-budget
-        horizon, a fault hook, mixed board specs, a non-finite command),
-        the kernel falls back to the per-period path for one period and
-        retries fusing from the next — per-lane re-plans, never full-bank
-        bailout.
+        the lane×tick kernel advances all lanes the whole block in one
+        resident pass: board state is gathered into the lane matrix once
+        per block instead of once per period, and no Python-level
+        actuation code runs between periods.  Whenever a block cannot be proven
+        quiet (a throttled lane, a draining stall, an application within
+        its phase-budget horizon, a fault hook, mixed board specs, a
+        non-finite command), it falls back to the per-period path
+        for one period and retries fusing from the next — per-lane
+        re-plans, never full-bank bailout.
 
         Returns the per-board executed tick counts, like
         :meth:`run_period_bank`.
@@ -1109,15 +1208,8 @@ class BoardBank:
                 return 0
         key_boards = tuple(indices)
         S = self._slices(key_boards, [boards[i] for i in indices])
-        em = S["em"]
-        for e in em:
-            state = e.state
-            if (
-                state.thermal_throttled
-                or state.power_throttled[BIG]
-                or state.power_throttled[LITTLE]
-            ):
-                return 0
+        if _throttled(S["em"]):
+            return 0  # _no_trip_bound would refuse; skip the probe
 
         # --- resolve + dedup the block's schedule entries ---------------
         entries = []
@@ -1142,155 +1234,66 @@ class BoardBank:
         # --- probe: window plans per lane per distinct operating point --
         # Planning needs each board *at* the operating point, so the probe
         # writes the snapped frequencies (epoch semantics preserved) and
-        # restores the final state afterwards.  Plans come from the tier
-        # caches — after the first block a steady schedule costs one dict
-        # hit per lane per distinct op.
+        # restores the initial ones whenever the block is refused.  Plans
+        # come from the tier caches — after the first block a steady
+        # schedule costs one dict hit per lane per distinct op.
         f_initial = [
             (boards[i].clusters[BIG].frequency,
              boards[i].clusters[LITTLE].frequency)
             for i in indices
         ]
+
+        def refuse():
+            for i, (fb, fl) in zip(indices, f_initial):
+                self._set_frequency_raw(boards[i], fb, fl)
+            return 0
+
         plans_by_op = []
-        ok = True
         for fb, fl in ops:
             plans = {}
             for i in indices:
                 self._set_frequency_raw(boards[i], fb, fl)
                 plan = self._plan_for(i)
                 if plan is None:
-                    ok = False  # stall draining / membership refusal
-                    break
+                    return refuse()  # stall draining / membership refusal
                 plans[i] = plan
-            if not ok:
-                break
             plans_by_op.append(plans)
-        if not ok:
-            for i, (fb, fl) in zip(indices, f_initial):
-                self._set_frequency_raw(boards[i], fb, fl)
-            return 0
 
         # --- credit horizon across the whole block ----------------------
         # One _CreditSchedule per op; the cell lists are structurally
         # identical (same threads, same placement — only the per-tick
         # amounts differ with frequency), so they can share one live value
         # array and the most conservative horizon bounds the whole block.
-        schedules = []
-        for e, (fb, fl) in enumerate(ops):
-            sched, _ = self._credit_schedule_for(
-                key_boards, indices, plans_by_op[e]
-            )
-            schedules.append(sched)
-        base = schedules[0]
-        base.refresh()
+        credit_by_op = [
+            self._credit_schedule_for(key_boards, indices, plans)
+            for plans in plans_by_op
+        ]
+        base = credit_by_op[0][0]
         safe = base.safe_ticks(K * period_steps)
         cells0 = base.cells
-        for sched in schedules[1:]:
+        for sched, _ in credit_by_op[1:]:
             if len(sched.cells) != len(cells0) or any(
                 a is not b
                 for (_, a), (_, b) in zip(sched.cells, cells0)
             ):
                 # Structure diverged (shouldn't happen for pure DVFS
                 # moves); stay exact via the per-period path.
-                for i, (fb, fl) in zip(indices, f_initial):
-                    self._set_frequency_raw(boards[i], fb, fl)
-                return 0
-            sched.refresh()
+                return refuse()
             safe = min(safe, sched.safe_ticks(K * period_steps))
             sched.vals = base.vals  # shared live values
             sched.scattered = False
         k_fused = min(K, safe // period_steps if period_steps else 0)
         if k_fused == 0:
-            for i, (fb, fl) in zip(indices, f_initial):
-                self._set_frequency_raw(boards[i], fb, fl)
-            return 0
+            return refuse()
 
-        # --- whole-block no-trip bound (see _run_vector_window) ---------
-        # The fixed point runs over the elementwise max of every op's
-        # power map: power is monotone nondecreasing in temperature for
-        # every op (leak_ok), so a common Tub with target_e(Tub) <= Tub
-        # for all ops bounds the trajectory through any op sequence.
+        # --- whole-block no-trip bound over every op of the block -------
         terms_by_op = [
-            self._lane_terms(key_boards, indices, plans_by_op[e])
-            for e in range(len(ops))
+            self._lane_terms(key_boards, indices, plans)
+            for plans in plans_by_op
         ]
-        if not all(t[7] for t in terms_by_op):  # leak_ok per op
-            for i, (fb, fl) in zip(indices, f_initial):
-                self._set_frequency_raw(boards[i], fb, fl)
-            return 0
-        ambient = S["ambient"]
-        resistance = S["resistance"]
-        lweight = S["lweight"]
-        thresh_m = S["thresh"]
-        limit_m = S["limit"]
-        temp_trip = S["temp_trip"]
         T0 = np.array([t.temperature for t in S["thermals"]])
-
-        def power_ub(Tub):
-            p_ubs = []
-            for t in terms_by_op:
-                dyn_m, leak_m, ltc_m, idle_m = t[2], t[3], t[4], t[5]
-                factor = 1.0 + ltc_m * (Tub - _REFERENCE_TEMP)
-                p_ubs.append(dyn_m + leak_m * np.maximum(factor, 0.2)
-                             + idle_m)
-            return p_ubs
-
-        def target_of(p_ubs):
-            target = None
-            for p_ub in p_ubs:
-                t_e = ambient + resistance * (p_ub[0] + lweight * p_ub[1])
-                target = t_e if target is None else np.maximum(target, t_e)
-            return target
-
-        fkey = (key_boards, self._plan_gen,
-                tuple(id(t) for t in terms_by_op))
-        holder = self._fused_ub.get(fkey)
-        if holder is None:
-            if len(self._fused_ub) > 256:
-                self._fused_ub.clear()
-            holder = self._fused_ub[fkey] = [None]
-        quiet = False
-        ub = holder[0]
-        if ub is not None and bool((T0 <= ub).all()):
-            quiet = True
-        else:
-            Tub = T0
-            p_ubs = None
-            for _ in range(6):
-                p_ubs = power_ub(Tub)
-                target = target_of(p_ubs)
-                if (target <= Tub).all():
-                    break
-                Tub = np.maximum(Tub, target)
-            else:
-                # Tub was raised to max(Tub, target) on the last pass, so
-                # first re-verify the bound at the raised candidate; if
-                # float arithmetic still hasn't closed, pad past the fixed
-                # point (any X with target(X) <= X bounds the trajectory
-                # by the same induction) and verify once.
-                p_ubs = power_ub(Tub)
-                target = target_of(p_ubs)
-                if not (target <= Tub).all():
-                    gap = float((target - Tub).max())
-                    if gap < 1e-3:
-                        Tub = Tub + 2.0 * gap + 1e-9
-                        p_ubs = power_ub(Tub)
-                        target = target_of(p_ubs)
-                        if not (target <= Tub).all():
-                            p_ubs = None
-                    else:
-                        p_ubs = None
-            if (
-                p_ubs is not None
-                and (Tub < temp_trip - 1e-9).all()
-                and all((p_ub < thresh_m - 1e-9).all() for p_ub in p_ubs)
-                and all((p_ub < limit_m - 1e-9).all() for p_ub in p_ubs)
-            ):
-                quiet = True
-                holder[0] = Tub
-        if not quiet:
-            for i, (fb, fl) in zip(indices, f_initial):
-                self._set_frequency_raw(boards[i], fb, fl)
-            return 0
+        if not self._no_trip_bound(S, T0, terms_by_op):
+            return refuse()
 
         # --- commit: leave each board at the last fused period's op -----
         fb_last, fl_last = ops[op_of[k_fused - 1]]
@@ -1310,194 +1313,33 @@ class BoardBank:
                         rej_b + rej_l
                     )
 
-        self._run_fused_block(
-            indices, S, op_of[:k_fused], ops, plans_by_op, terms_by_op,
-            schedules, period_steps,
-        )
-        ticks = k_fused * period_steps
+        # Proven quiet and inside the credit horizon, so the kernel runs
+        # every segment to the end (no emergency or membership stop).
+        segments = [
+            (plans_by_op[e], terms_by_op[e], *credit_by_op[e],
+             period_steps, ops[e])
+            for e in op_of[:k_fused]
+        ]
+        ticks = self._run_vector_window(indices, segments)
+        self.fused_blocks += 1
+        self.fused_ticks += ticks * len(indices)
         for i in indices:
             executed[i] += ticks
         return k_fused
 
-    def _run_fused_block(self, indices, S, op_of, ops, plans_by_op,
-                         terms_by_op, schedules, period_steps):
-        """Advance all lanes ``len(op_of)`` periods in one resident pass.
+    # ------------------------------------------------------------------
+    # The lane×tick kernel
+    # ------------------------------------------------------------------
+    def _run_vector_window(self, indices, segments):
+        """Advance the planned lanes through ``segments`` in lockstep.
 
-        Preconditions (established by :meth:`_run_fused_schedule`): every
-        lane is planned for every distinct operating point, the whole
-        block is proven emergency-quiet (the per-tick firmware machine
-        collapses to the under-limit clocks, exactly like the per-period
-        quiet path), and the credit horizon covers every tick.  Board
-        state is gathered once, stepped ``periods x period_steps`` ticks
-        with per-period rebinding of the plan-constant matrices, and
-        scattered once — the per-tick float sequence is identical to
-        :meth:`_run_vector_window`'s proven-quiet path, so the result is
-        bit-identical to per-period stepping.
-        """
-        boards = [self.boards[i] for i in indices]
-        B = len(boards)
-        dt = self._dt
-        K = len(op_of)
-        total = K * period_steps
-        ix = S["ix"]
-        static = S["static"]
-        ambient = S["ambient"]
-        resistance = S["resistance"]
-        lweight = S["lweight"]
-        alpha = S["alpha"]
-        sdt_m = S["sdt"]
-        speriod_m = S["speriod"]
-        noise_rms = S["noise_rms"]
-
-        sens_b = S["sens_b"]
-        sens_l = S["sens_l"]
-        thermals = S["thermals"]
-        em = S["em"]
-        g = np.array([
-            [t.temperature for t in thermals],
-            [b.energy for b in boards],
-            [s._accumulated for s in sens_b],
-            [s._accumulated for s in sens_l],
-            [s._latched for s in sens_b],
-            [s._latched for s in sens_l],
-            [c.total_giga for c in S["pc_b"]],
-            [c.total_giga for c in S["pc_l"]],
-            [s._elapsed for s in sens_b],
-            [s._elapsed for s in sens_l],
-            [b.time for b in boards],
-            [e._under_power_time[BIG] for e in em],
-            [e._under_power_time[LITTLE] for e in em],
-        ])
-        T = g[0]
-        energy = g[1]
-        acc_m = g[2:4]
-        latch_m = g[4:6]
-        itotal_m = g[6:8]
-        elap_m = g[8:10]
-        time_arr = g[10]
-        under_m = g[11:13]
-        inc = np.empty((7, B))
-        inc[2:4] = sdt_m
-        inc[4:7] = dt
-
-        # Per-board RNG noise for the whole block (block draw == the
-        # scalar path's sequential draws; the block always completes, so
-        # no rewind is ever needed).
-        noise = np.zeros((B, total))
-        for k, board in enumerate(boards):
-            if noise_rms[k] > 0:
-                noise[k] = board.temp_sensor._rng.normal(
-                    scale=noise_rms[k], size=total
-                )
-
-        track = self.track_violations
-        temp_limit = S["temp_limit"] if track else None
-        limit_m = S["limit"]
-        tv = self.temp_violation_time
-        pv = self.power_violation_time
-        any_record = any(b.trace is not None for b in boards)
-        no_emergency = np.zeros(B, dtype=bool) if any_record else None
-
-        p_m = None
-        for q in range(K):
-            e = op_of[q]
-            terms = terms_by_op[e]
-            dyn_m, leak_m, ltc_m, idle_m, instr_m = terms[2:7]
-            inc[0:2] = instr_m
-            sched = schedules[e]
-            if any_record:
-                hist = {name: [] for name in ("power", "temperature",
-                                              "time")}
-            for _ in range(period_steps):
-                factor = 1.0 + ltc_m * (T - _REFERENCE_TEMP)
-                p_m = dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m
-                sched.tick()
-                p_b = p_m[0]
-                p_l = p_m[1]
-                target = ambient + resistance * (p_b + lweight * p_l)
-                T = T + alpha * (target - T)
-                energy += (p_b + p_l + static) * dt
-                acc_m += p_m * sdt_m
-                g[6:13] += inc
-                latching = elap_m + 1e-12 >= speriod_m
-                if latching.any():
-                    latch_m = np.where(latching, acc_m / elap_m, latch_m)
-                    acc_m[latching] = 0.0
-                    elap_m[latching] = 0.0
-                if track:
-                    hot = T > temp_limit
-                    if hot.any():
-                        tv[ix[hot]] += dt
-                    loud = p_b > limit_m[0]
-                    if loud.any():
-                        pv[ix[loud]] += dt
-                if any_record:
-                    hist["power"].append(p_m)
-                    hist["temperature"].append(T)
-                    hist["time"].append(time_arr.copy())
-            if any_record:
-                # Per-period trace flush: the recorded frequencies are the
-                # op's snapped values (quiet block: no emergency caps).
-                fb, fl = ops[e]
-                hist["freq_big"] = [np.full(B, fb)] * period_steps
-                hist["freq_little"] = [np.full(B, fl)] * period_steps
-                hist["emergency"] = [no_emergency] * period_steps
-                for k, board in enumerate(boards):
-                    if board.trace is not None:
-                        self._extend_trace(board, k, hist, period_steps,
-                                           plans_by_op[e][indices[k]])
-
-        schedules[0].scatter()
-        last_temp = T + noise[:, total - 1]
-
-        T_out = T.tolist()
-        energy_out = energy.tolist()
-        time_out = time_arr.tolist()
-        acc_out = acc_m.tolist()
-        elap_out = elap_m.tolist()
-        latch_out = latch_m.tolist()
-        itotal_out = itotal_m.tolist()
-        last_out = last_temp.tolist()
-        under_out = under_m.tolist()
-        pb_out = p_m[0].tolist()
-        pl_out = p_m[1].tolist()
-        last_plans = plans_by_op[op_of[-1]]
-        for k, board in enumerate(boards):
-            thermals[k].temperature = T_out[k]
-            board.energy = energy_out[k]
-            board.time = time_out[k]
-            sensor = sens_b[k]
-            sensor._accumulated = acc_out[0][k]
-            sensor._elapsed = elap_out[0][k]
-            sensor._latched = latch_out[0][k]
-            sensor = sens_l[k]
-            sensor._accumulated = acc_out[1][k]
-            sensor._elapsed = elap_out[1][k]
-            sensor._latched = latch_out[1][k]
-            S["pc_b"][k].total_giga = itotal_out[0][k]
-            S["pc_l"][k].total_giga = itotal_out[1][k]
-            board.temp_sensor._last = last_out[k]
-            e = em[k]
-            e._under_power_time[BIG] = under_out[0][k]
-            e._under_power_time[LITTLE] = under_out[1][k]
-            # Scalar stepping zeroes the over-threshold timers on every
-            # under-threshold tick, and every quiet-block tick is under
-            # threshold; throttle flags, trip counts, and hold clocks
-            # provably did not move.
-            e._over_power_time[BIG] = 0.0
-            e._over_power_time[LITTLE] = 0.0
-            board._instant_power = {BIG: pb_out[k], LITTLE: pl_out[k]}
-            board._instant_bips = last_plans[indices[k]].bips
-        self.windows += 1
-        self.fused_blocks += 1
-        self.fused_ticks += total * B
-        self.vector_ticks += total * B
-        if self.telemetry is not None:
-            self.telemetry.bank_windows.inc()
-            self.telemetry.bank_board_ticks.inc(total * B)
-
-    def _run_vector_window(self, indices, plans, max_ticks):
-        """Advance every planned board ``<= max_ticks`` ticks in lockstep.
+        Each segment is one control period's ``(plans, terms, schedule,
+        guards, ticks, freqs)``: the lanes' window plans, their
+        :meth:`_lane_terms`, the :meth:`_credit_schedule_for` pair, the
+        tick count, and the frequencies the trace records for a quiet
+        window (``None``: read each board's own).  The schedules of a
+        multi-segment window share one live value array
+        (:meth:`_run_fused_schedule` aliases them), so the first segment's schedule owns the scatter.
 
         Returns the number of ticks executed (shared across boards: the
         window ends for everyone at the first board event, after the
@@ -1525,48 +1367,14 @@ class BoardBank:
         speriod_m = S["speriod"]
         noise_rms = S["noise_rms"]
 
-        # --- step-invariant plan terms, clusters stacked on axis 0 ------
-        lanes = self._lane_terms(key_boards, indices, plans)
-        _, _, dyn_m, leak_m, ltc_m, idle_m, instr_m, leak_ok, ub_holder = lanes
-        window_credits = [plans[i].credits for i in indices]
-
-        # --- credit schedule + membership guards (structure cached) -----
-        # Keyed by the identity of each board's credit amounts plus its
-        # membership generation; verified against the live works objects
-        # (held by the cached schedule) so id() reuse cannot alias.
-        works_list = [plans[i].works for i in indices]
-        board_gen = self._board_gen
-        sched_key = (key_boards, self._plan_gen,
-                     tuple((i, id(w), board_gen[i])
-                           for i, w in zip(indices, works_list)))
-        cached_sched = self._sched_cache.get(sched_key)
-        if (
-            cached_sched is not None
-            and all(a is b for a, b in
-                    zip(cached_sched[0].plan_ident, works_list))
-        ):
-            schedule, guards = cached_sched
-            schedule.refresh()
-        elif max_ticks >= 4:
-            schedule = _CreditSchedule(indices, plans)
-            schedule.plan_ident = works_list
-            guards = [_MembershipGuard(plans[i]) for i in indices]
-            if len(self._sched_cache) > 256:
-                self._sched_cache.clear()
-            self._sched_cache[sched_key] = (schedule, guards)
-        else:
-            # Tiny remainder window (e.g. the one-tick tail left when a
-            # stall peel de-syncs a lane from the rest of the period):
-            # building a credit schedule costs more than it could save, so
-            # credit in Python from tick zero — the exact path anyway.
-            schedule = None
-            guards = [_MembershipGuard(plans[i]) for i in indices]
-        n_vec = 0 if schedule is None else schedule.safe_ticks(max_ticks)
+        total = sum(seg[4] for seg in segments)
+        live_schedule = segments[0][2]
+        n_vec = min(seg[2].safe_ticks(total) for seg in segments)
 
         # --- mutable board state, copied into lanes ---------------------
         # One array build for all the float lanes.  Rows 6..12 (retired
         # instructions, sensor-elapsed, time, under-limit clocks) advance
-        # by a per-window constant each tick, laid out contiguously so the
+        # by a per-segment constant each tick, laid out contiguously so the
         # tick loop bumps them with a single fused in-place add; those
         # stay views of ``g`` for the whole window.  The rest may rebind.
         sens_b = S["sens_b"]
@@ -1597,90 +1405,15 @@ class BoardBank:
         time_arr = g[10]
         under_m = g[11:13]
         inc = np.empty((7, B))
-        inc[0:2] = instr_m
         inc[2:4] = sdt_m
         inc[4:7] = dt
 
-        # --- window-level no-trip bound ---------------------------------
-        # Power is monotone nondecreasing in temperature (leak_temp_coeff
-        # >= 0, checked), so iterating Tub <- max(Tub, target(Tub)) yields
-        # a fixed-point upper bound on the whole window's temperature
-        # trajectory.  If that bound clears every trip threshold (with an
-        # absolute margin crushing per-tick rounding), no lane can change
-        # emergency state this window: the per-tick machine collapses to
-        # the under-limit timer accumulation.  A successful bound is cached
-        # on the lane entry: it stays a valid ceiling for any later window
-        # of the same lanes that starts at or below it (same monotone
-        # induction), which skips the fixed-point iteration entirely.
-        em_fast = False
-        if self._const["monotone"] and leak_ok:
-            states = [e.state for e in em]
-            if (
-                not any(s.thermal_throttled for s in states)
-                and not any(s.power_throttled[BIG] or s.power_throttled[LITTLE]
-                            for s in states)
-            ):
-                ub = ub_holder[0]
-                if ub is not None and bool((T <= ub).all()):
-                    em_fast = True
-                else:
-                    Tub = T
-                    p_ub = None
-                    for _ in range(6):
-                        factor = 1.0 + ltc_m * (Tub - _REFERENCE_TEMP)
-                        p_ub = (dyn_m + leak_m * np.maximum(factor, 0.2)
-                                + idle_m)
-                        target = ambient + resistance * (
-                            p_ub[0] + lweight * p_ub[1]
-                        )
-                        if (target <= Tub).all():
-                            break
-                        Tub = np.maximum(Tub, target)
-                    else:
-                        # Tub was raised to max(Tub, target) on the last
-                        # pass, so re-verify the bound at the raised
-                        # candidate first.  If float arithmetic still
-                        # hasn't closed (the gap contracts geometrically
-                        # but float equality can take a dozen iterations),
-                        # any X with target(X) <= X bounds the trajectory
-                        # by the same induction: pad the candidate past
-                        # the fixed point and verify the bound once.
-                        factor = 1.0 + ltc_m * (Tub - _REFERENCE_TEMP)
-                        p_ub = (dyn_m + leak_m * np.maximum(factor, 0.2)
-                                + idle_m)
-                        target = ambient + resistance * (
-                            p_ub[0] + lweight * p_ub[1]
-                        )
-                        if not (target <= Tub).all():
-                            gap = float((target - Tub).max())
-                            if gap < 1e-3:
-                                Tub = Tub + 2.0 * gap + 1e-9
-                                factor = 1.0 + ltc_m * (
-                                    Tub - _REFERENCE_TEMP
-                                )
-                                p_ub = (dyn_m
-                                        + leak_m * np.maximum(factor, 0.2)
-                                        + idle_m)
-                                target = ambient + resistance * (
-                                    p_ub[0] + lweight * p_ub[1]
-                                )
-                                if not (target <= Tub).all():
-                                    p_ub = None  # no contraction: exact
-                            else:
-                                p_ub = None  # no contraction: exact
-                    if (
-                        p_ub is not None
-                        and (Tub < temp_trip - 1e-9).all()
-                        and (p_ub < thresh_m - 1e-9).all()
-                        and (p_ub < limit_m - 1e-9).all()
-                    ):
-                        em_fast = True
-                        ub_holder[0] = Tub
-
-        # Emergency-firmware state machine lanes.  The proven-quiet fast
-        # path only moves the under-limit clocks (already rows of ``g``),
-        # so it skips gathering (and later writing back) the rest of the
-        # machine entirely.
+        # Proven quiet: the emergency-firmware machine only moves the
+        # under-limit clocks (already rows of ``g``), so the window skips
+        # gathering (and later writing back) the rest of the machine.
+        em_fast = self._no_trip_bound(
+            S, T, list({id(seg[1]): seg[1] for seg in segments}.values())
+        )
         if not em_fast:
             th = np.array(
                 [e.state.thermal_throttled for e in em], dtype=bool
@@ -1707,181 +1440,209 @@ class BoardBank:
             has_trip_cb = any(e.on_trip is not None for e in em)
 
         # --- per-board RNG noise blocks ---------------------------------
-        noise = np.zeros((B, max_ticks))
+        noise = np.zeros((B, total))
         rng_states = [None] * B
         for k, board in enumerate(boards):
             if noise_rms[k] > 0:
                 rng = board.temp_sensor._rng
                 rng_states[k] = rng.bit_generator.state
-                noise[k] = rng.normal(scale=noise_rms[k], size=max_ticks)
+                noise[k] = rng.normal(scale=noise_rms[k], size=total)
 
         track = self.track_violations
         temp_limit = S["temp_limit"] if track else None
         tv = self.temp_violation_time
         pv = self.power_violation_time
         any_record = any(b.trace is not None for b in boards)
-        hist = {name: [] for name in (
-            "power", "temperature", "time",
-            "freq_big", "freq_little", "emergency",
-        )} if any_record else None
         if any_record:
-            freq_b = np.array([b.clusters[BIG].frequency for b in boards])
-            freq_l = np.array([b.clusters[LITTLE].frequency for b in boards])
             pcap_m = S["pcap"]
             no_emergency = np.zeros(B, dtype=bool)
 
         ticks = 0
+        stop = False
         emergency_changed = None
         any_active = None  # stays None on the proven-quiet fast path
-        while ticks < max_ticks:
-            # Exact replay of cluster_power().total per lane: dynamic and
-            # idle are window constants, leakage tracks the hot spot.
-            # (Unpowered clusters have all-zero plan terms, so the same
-            # expression reproduces their exact 0.0 W.)
-            factor = 1.0 + ltc_m * (T - _REFERENCE_TEMP)
-            p_m = dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m
-            p_b = p_m[0]
-            p_l = p_m[1]
-            # Application crediting (scalar stepping credits with the
-            # tick-start time plus dt; the vectorized schedule replays the
-            # same subtractions/additions while its safe horizon holds).
-            if ticks < n_vec:
-                schedule.tick()
-            else:
-                if schedule is not None and not schedule.scattered:
-                    schedule.scatter()
-                now = time_arr + dt
-                for k in range(B):
-                    t_now = float(now[k])
-                    for app, thread, done in window_credits[k]:
-                        app.execute(thread, done, t_now)
-            # Thermal RC fixed point, energy, sensors, counters.
-            target = ambient + resistance * (p_b + lweight * p_l)
-            T = T + alpha * (target - T)
-            energy += (p_b + p_l + static) * dt
-            acc_m += p_m * sdt_m
-            # Fused constant-rate clocks: retired instructions and sensor
-            # elapsed always; plus time and the under-limit clocks on the
-            # proven-quiet fast path (no trip callback can observe time
-            # mid-tick there, and power <= limit holds lane-wide).
-            if em_fast:
-                g[6:13] += inc
-            else:
-                g[6:10] += inc[0:4]
-            latching = elap_m + 1e-12 >= speriod_m
-            if latching.any():
-                latch_m = np.where(latching, acc_m / elap_m, latch_m)
-                acc_m[latching] = 0.0
-                elap_m[latching] = 0.0
-            # Emergency firmware state machine (fast path: provably inert).
-            if not em_fast:
-                trip_th = (~th) & (T >= temp_trip)
-                clear_th = th & (T <= temp_clear)
-                new_th = (th | trip_th) & ~clear_th
-                is_over = p_m > thresh_m
-                over_m = np.where(is_over, over_m + dt, 0.0)
-                under_m = np.where(
-                    is_over, 0.0,
-                    np.where(p_m <= limit_m, under_m + dt, under_m),
-                )
-                hold_m = np.where(pth_m, hold_m + dt, hold_m)
-                trip_p = (~pth_m) & (over_m >= trip_delay)
-                clear_p = (
-                    pth_m & (hold_m >= min_hold) & (under_m >= clear_delay)
-                )
-                hold_m = np.where(trip_p, 0.0, hold_m)
-                new_pth = (pth_m | trip_p) & ~clear_p
-                trip_count += trip_th
-                trip_count += trip_p[0]
-                trip_count += trip_p[1]
-                if has_trip_cb and (trip_th.any() or trip_p.any()):
-                    fired = trip_th | trip_p[0] | trip_p[1]
-                    for k in np.nonzero(fired)[0]:
-                        if em[k].on_trip is not None:
-                            boards[k].time = float(time_arr[k])
-                            if trip_th[k]:
-                                em[k].on_trip("thermal")
-                            if trip_p[0][k]:
-                                em[k].on_trip(f"power-{BIG}")
-                            if trip_p[1][k]:
-                                em[k].on_trip(f"power-{LITTLE}")
-                emergency_changed = (
-                    (new_th != th) | (new_pth[0] != pth_m[0])
-                    | (new_pth[1] != pth_m[1])
-                )
-                th = new_th
-                pth_m = new_pth
-                any_active = th | pth_m[0] | pth_m[1]
-                if any_active.any():
-                    throttle_time = np.where(
-                        any_active, throttle_time + dt, throttle_time
+        for plans, terms, schedule, guards, seg_ticks, freqs in segments:
+            dyn_m, leak_m, ltc_m, idle_m, instr_m = terms[2:7]
+            inc[0:2] = instr_m
+            window_credits = None
+            start = ticks
+            end = ticks + seg_ticks
+            if any_record:
+                hist = {name: [] for name in (
+                    "power", "temperature", "time",
+                    "freq_big", "freq_little", "emergency",
+                )}
+                if freqs is None:
+                    freq_b = np.array(
+                        [b.clusters[BIG].frequency for b in boards]
                     )
-                time_arr = time_arr + dt
-            ticks += 1
-            if track:
-                hot = T > temp_limit
-                if hot.any():
-                    tv[ix[hot]] += dt
-                loud = p_b > limit_m[0]
-                if loud.any():
-                    pv[ix[loud]] += dt
-            if hist is not None:
-                # Effective (emergency-capped) frequencies, post-update —
-                # exactly what Board._record reads at the end of a tick.
-                if any_active is None:
-                    hist["freq_big"].append(freq_b)
-                    hist["freq_little"].append(freq_l)
-                    hist["emergency"].append(no_emergency)
+                    freq_l = np.array(
+                        [b.clusters[LITTLE].frequency for b in boards]
+                    )
                 else:
-                    cap = np.where(th, throttle_freq, np.inf)
-                    cap = np.where(pth_m[0], np.minimum(cap, pcap_m[0]), cap)
-                    hist["freq_big"].append(
-                        np.where(np.isinf(cap), freq_b,
-                                 np.minimum(freq_b, cap))
+                    freq_b = np.full(B, freqs[0])
+                    freq_l = np.full(B, freqs[1])
+            while ticks < end:
+                # Exact replay of cluster_power().total per lane: dynamic
+                # and idle are segment constants, leakage tracks the hot
+                # spot.  (Unpowered clusters have all-zero plan terms, so
+                # the same expression reproduces their exact 0.0 W.)
+                factor = 1.0 + ltc_m * (T - _REFERENCE_TEMP)
+                p_m = dyn_m + leak_m * np.maximum(factor, 0.2) + idle_m
+                p_b = p_m[0]
+                p_l = p_m[1]
+                # Application crediting (scalar stepping credits with the
+                # tick-start time plus dt; the vectorized schedule replays
+                # the same subtractions/additions while its horizon holds).
+                if ticks < n_vec:
+                    schedule.tick()
+                else:
+                    if not live_schedule.scattered:
+                        live_schedule.scatter()
+                    if window_credits is None:
+                        window_credits = [plans[i].credits for i in indices]
+                    now = time_arr + dt
+                    for k in range(B):
+                        t_now = float(now[k])
+                        for app, thread, done in window_credits[k]:
+                            app.execute(thread, done, t_now)
+                # Thermal RC fixed point, energy, sensors, counters.
+                target = ambient + resistance * (p_b + lweight * p_l)
+                T = T + alpha * (target - T)
+                energy += (p_b + p_l + static) * dt
+                acc_m += p_m * sdt_m
+                # Fused constant-rate clocks: retired instructions and
+                # sensor elapsed always; plus time and the under-limit
+                # clocks on the proven-quiet fast path (no trip callback
+                # can observe time mid-tick there, and power <= limit
+                # holds lane-wide).
+                if em_fast:
+                    g[6:13] += inc
+                else:
+                    g[6:10] += inc[0:4]
+                latching = elap_m + 1e-12 >= speriod_m
+                if latching.any():
+                    latch_m = np.where(latching, acc_m / elap_m, latch_m)
+                    acc_m[latching] = 0.0
+                    elap_m[latching] = 0.0
+                # Emergency firmware state machine (fast path: inert).
+                if not em_fast:
+                    trip_th = (~th) & (T >= temp_trip)
+                    clear_th = th & (T <= temp_clear)
+                    new_th = (th | trip_th) & ~clear_th
+                    is_over = p_m > thresh_m
+                    over_m = np.where(is_over, over_m + dt, 0.0)
+                    under_m = np.where(
+                        is_over, 0.0,
+                        np.where(p_m <= limit_m, under_m + dt, under_m),
                     )
-                    cap_l = np.where(pth_m[1], pcap_m[1], np.inf)
-                    hist["freq_little"].append(
-                        np.where(np.isinf(cap_l), freq_l,
-                                 np.minimum(freq_l, cap_l))
+                    hold_m = np.where(pth_m, hold_m + dt, hold_m)
+                    trip_p = (~pth_m) & (over_m >= trip_delay)
+                    clear_p = (
+                        pth_m & (hold_m >= min_hold)
+                        & (under_m >= clear_delay)
                     )
-                    hist["emergency"].append(any_active)
-                hist["power"].append(p_m)
-                hist["temperature"].append(T)
-                # On the fast path time_arr is a live view of g; snapshot.
-                hist["time"].append(
-                    time_arr.copy() if em_fast else time_arr
-                )
-            # Window-ending events: the offending tick is complete (exactly
-            # like scalar stepping), everyone re-plans from here.
-            stop = False
-            if not em_fast and emergency_changed.any():
-                count = int(emergency_changed.sum())
-                self.events["emergency"] += count
-                if self.telemetry is not None:
-                    self.telemetry.bank_events.labels(
-                        reason="emergency"
-                    ).inc(count)
-                stop = True
-            if ticks > n_vec:
-                # Membership can only change once python crediting runs:
-                # the vectorized schedule's horizon proves no budget hits
-                # its clamp or advance threshold before then.  Check every
-                # guard (not just the first) so each affected board's
-                # cached plan is retired.
-                for g_k, guard in enumerate(guards):
-                    if guard.changed():
-                        self._replan_cache.pop(indices[g_k], None)
-                        self.events["membership"] += 1
-                        if self.telemetry is not None:
-                            self.telemetry.bank_events.labels(
-                                reason="membership"
-                            ).inc()
-                        stop = True
+                    hold_m = np.where(trip_p, 0.0, hold_m)
+                    new_pth = (pth_m | trip_p) & ~clear_p
+                    trip_count += trip_th
+                    trip_count += trip_p[0]
+                    trip_count += trip_p[1]
+                    if has_trip_cb and (trip_th.any() or trip_p.any()):
+                        fired = trip_th | trip_p[0] | trip_p[1]
+                        for k in np.nonzero(fired)[0]:
+                            if em[k].on_trip is not None:
+                                boards[k].time = float(time_arr[k])
+                                if trip_th[k]:
+                                    em[k].on_trip("thermal")
+                                if trip_p[0][k]:
+                                    em[k].on_trip(f"power-{BIG}")
+                                if trip_p[1][k]:
+                                    em[k].on_trip(f"power-{LITTLE}")
+                    emergency_changed = (
+                        (new_th != th) | (new_pth[0] != pth_m[0])
+                        | (new_pth[1] != pth_m[1])
+                    )
+                    th = new_th
+                    pth_m = new_pth
+                    any_active = th | pth_m[0] | pth_m[1]
+                    if any_active.any():
+                        throttle_time = np.where(
+                            any_active, throttle_time + dt, throttle_time
+                        )
+                    time_arr = time_arr + dt
+                ticks += 1
+                if track:
+                    hot = T > temp_limit
+                    if hot.any():
+                        tv[ix[hot]] += dt
+                    loud = p_b > limit_m[0]
+                    if loud.any():
+                        pv[ix[loud]] += dt
+                if any_record:
+                    # Effective (emergency-capped) frequencies, post-update
+                    # — exactly what Board._record reads at the end of a
+                    # tick.
+                    if any_active is None:
+                        hist["freq_big"].append(freq_b)
+                        hist["freq_little"].append(freq_l)
+                        hist["emergency"].append(no_emergency)
+                    else:
+                        cap = np.where(th, throttle_freq, np.inf)
+                        cap = np.where(pth_m[0], np.minimum(cap, pcap_m[0]),
+                                       cap)
+                        hist["freq_big"].append(
+                            np.where(np.isinf(cap), freq_b,
+                                     np.minimum(freq_b, cap))
+                        )
+                        cap_l = np.where(pth_m[1], pcap_m[1], np.inf)
+                        hist["freq_little"].append(
+                            np.where(np.isinf(cap_l), freq_l,
+                                     np.minimum(freq_l, cap_l))
+                        )
+                        hist["emergency"].append(any_active)
+                    hist["power"].append(p_m)
+                    hist["temperature"].append(T)
+                    # On the fast path time_arr is a live view of g.
+                    hist["time"].append(
+                        time_arr.copy() if em_fast else time_arr
+                    )
+                # Window-ending events: the offending tick is complete
+                # (exactly like scalar stepping), everyone re-plans here.
+                if not em_fast and emergency_changed.any():
+                    count = int(emergency_changed.sum())
+                    self.events["emergency"] += count
+                    if self.telemetry is not None:
+                        self.telemetry.bank_events.labels(
+                            reason="emergency"
+                        ).inc(count)
+                    stop = True
+                if ticks > n_vec:
+                    # Membership can only change once python crediting
+                    # runs: the vectorized schedule's horizon proves no
+                    # budget hits its clamp or advance threshold before
+                    # then.  Check every guard (not just the first) so
+                    # each affected board's cached plan is retired.
+                    for g_k, guard in enumerate(guards):
+                        if guard.changed():
+                            self._replan_cache.pop(indices[g_k], None)
+                            self.events["membership"] += 1
+                            if self.telemetry is not None:
+                                self.telemetry.bank_events.labels(
+                                    reason="membership"
+                                ).inc()
+                            stop = True
+                if stop:
+                    break
+            if any_record:
+                # Per-segment trace flush, under that segment's plans.
+                for k, board in enumerate(boards):
+                    if board.trace is not None:
+                        self._extend_trace(board, k, hist, ticks - start,
+                                           plans[indices[k]])
             if stop:
                 break
 
-        if schedule is not None:
-            schedule.scatter()
+        live_schedule.scatter()
         # The last sensed temperature: final true temperature plus the
         # final tick's noise draw (T is not rebound after its update, so
         # computing this once here matches the per-tick value exactly).
@@ -1921,7 +1682,7 @@ class BoardBank:
             S["pc_b"][k].total_giga = itotal_out[0][k]
             S["pc_l"][k].total_giga = itotal_out[1][k]
             board.temp_sensor._last = last_out[k]
-            if rng_states[k] is not None and ticks < max_ticks:
+            if rng_states[k] is not None and ticks < total:
                 # Rewind the generator and consume exactly the draws the
                 # scalar path would have (batched == sequential draws).
                 rng = board.temp_sensor._rng
@@ -1950,8 +1711,6 @@ class BoardBank:
                 e._hold_time[LITTLE] = hold_out[1][k]
             board._instant_power = {BIG: pb_out[k], LITTLE: pl_out[k]}
             board._instant_bips = plans[indices[k]].bips
-            if board.trace is not None:
-                self._extend_trace(board, k, hist, ticks, plans[indices[k]])
         self.windows += 1
         self.vector_ticks += ticks * B
         if self.telemetry is not None:
@@ -1961,7 +1720,7 @@ class BoardBank:
 
     @staticmethod
     def _extend_trace(board, lane, hist, ticks, plan):
-        """Append this window's per-tick history to one board's trace."""
+        """Append one segment's per-tick history to one board's trace."""
         trace = board.trace
         trace.times.extend(float(row[lane]) for row in hist["time"])
         trace.power_big.extend(float(row[0][lane]) for row in hist["power"])

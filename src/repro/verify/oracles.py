@@ -411,10 +411,22 @@ def oracle_bank_schedule(spec=None, workloads=("blackscholes", "mcf",
     })
 
 
+# A cell whose banked run once diverged from serial only late in the
+# program (a cached plan was served without the placement-membership
+# refresh), far past the short matrix horizon, so the bank-matrix
+# oracle always runs it to the end.
+_FULL_LENGTH_CELL = ("decoupled-heuristic", "x264", 13)
+
+
 def oracle_bank_matrix(context, schemes=None, workloads=None, seed=7,
                        max_time=10.0, batch=8):
-    """Run the same matrix serially and banked (``--batch``); must be 0 ULP."""
-    from ..experiments.runner import run_scheme_matrix
+    """Run the same matrix serially and banked (``--batch``); must be 0 ULP.
+
+    One more cell, :data:`_FULL_LENGTH_CELL`, runs to completion as a
+    1-lane bank against :func:`run_workload`.
+    """
+    from ..experiments.bank_runner import run_cells_banked
+    from ..experiments.runner import run_scheme_matrix, run_workload
 
     schemes = list(schemes or ["coordinated-heuristic", "decoupled-heuristic"])
     workloads = list(workloads or ["blackscholes"])
@@ -423,24 +435,35 @@ def oracle_bank_matrix(context, schemes=None, workloads=None, seed=7,
     banked = run_scheme_matrix(schemes, workloads, context, seed=seed,
                                max_time=max_time, record=True, jobs=None,
                                batch=batch)
+    pairs = [
+        ((wname, scheme), a, banked[wname][scheme])
+        for wname, per_scheme in serial.items()
+        for scheme, a in per_scheme.items()
+    ]
+    scheme, workload, cell_seed = _FULL_LENGTH_CELL
+    [full_banked] = run_cells_banked([_FULL_LENGTH_CELL], context,
+                                     record=True)
+    pairs.append((
+        (workload, scheme),
+        run_workload(scheme, workload, context, seed=cell_seed, record=True),
+        full_banked,
+    ))
     cmp = _Comparator(tolerance_ulp=0.0)
-    for wname, per_scheme in serial.items():
-        for scheme, a in per_scheme.items():
-            b = banked[wname][scheme]
-            loc = (wname, scheme)
-            cmp.check(loc, "execution_time", a.execution_time,
-                      b.execution_time)
-            cmp.check(loc, "energy", a.energy, b.energy)
-            cmp.check(loc, "completed", float(a.completed),
-                      float(b.completed))
-            cmp.check(loc, "emergency_trips",
-                      float(a.notes["emergency_trips"]),
-                      float(b.notes["emergency_trips"]))
-            for signal in sorted(a.trace):
-                cmp.check_array(f"{wname}/{scheme}/{signal}",
-                                a.trace[signal], b.trace[signal])
+    for loc, a, b in pairs:
+        wname, scheme = loc
+        cmp.check(loc, "execution_time", a.execution_time,
+                  b.execution_time)
+        cmp.check(loc, "energy", a.energy, b.energy)
+        cmp.check(loc, "completed", float(a.completed), float(b.completed))
+        cmp.check(loc, "emergency_trips",
+                  float(a.notes["emergency_trips"]),
+                  float(b.notes["emergency_trips"]))
+        for signal in sorted(a.trace):
+            cmp.check_array(f"{wname}/{scheme}/{signal}",
+                            a.trace[signal], b.trace[signal])
     return cmp.result("bank-matrix-vs-serial", details={
         "schemes": schemes, "workloads": workloads, "batch": batch,
+        "full_length_cell": list(_FULL_LENGTH_CELL),
     })
 
 

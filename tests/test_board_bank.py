@@ -366,6 +366,14 @@ class TestFusedSchedule:
             spec, workloads, fb, fl, block_periods=16
         )
         assert bank.fused_blocks > 0, "fused kernel never engaged"
+        # Pinned window split: the ledger's fused-tick fraction depends on
+        # exactly which periods fuse and how the per-period windows break.
+        assert bank.counters() == {
+            "boards": 4, "vector_ticks": 1600, "scalar_ticks": 0,
+            "windows": 10, "fused_blocks": 2, "fused_ticks": 1280,
+            "events": {"emergency": 0, "membership": 0, "plan_refused": 0,
+                       "stall_peel": 0},
+        }
         assert executed == ref_ticks
         for k, (a, b) in enumerate(zip(banked, reference)):
             _assert_boards_identical(a, b, label=f"board {k}")
@@ -441,6 +449,12 @@ class TestFusedSchedule:
         counters = bank.counters()
         assert counters["vector_ticks"] > counters["scalar_ticks"], \
             "emergency churn pushed the bank off the vector path"
+        assert counters == {
+            "boards": 4, "vector_ticks": 4644, "scalar_ticks": 156,
+            "windows": 163, "fused_blocks": 0, "fused_ticks": 0,
+            "events": {"emergency": 129, "membership": 2, "plan_refused": 0,
+                       "stall_peel": 0},
+        }
         assert executed == ref_ticks
         for k, (a, b) in enumerate(zip(banked, reference)):
             _assert_boards_identical(a, b, label=f"board {k}")
@@ -581,6 +595,29 @@ class TestBankIntegration:
                 for signal in a.trace:
                     assert np.array_equal(a.trace[signal],
                                           b.trace[signal]), (w, s, signal)
+
+    @pytest.mark.parametrize("scheme,workload,seed", [
+        ("decoupled-lqg", "bodytrack", 4),
+        ("decoupled-heuristic", "x264", 13),
+    ])
+    def test_one_lane_bank_to_completion_matches_serial(
+        self, design_context, scheme, workload, seed
+    ):
+        """Whole programs, not just a short horizon: both cells once
+        diverged tens of seconds in, when a plan cached by live state was
+        served without the placement-membership refresh planning does."""
+        from repro.experiments import run_cells_banked, run_workload
+
+        [b] = run_cells_banked([(scheme, workload, seed)], design_context,
+                               record=True)
+        a = run_workload(scheme, workload, design_context, seed=seed,
+                         record=True)
+        assert a.completed and b.completed
+        assert a.execution_time == b.execution_time
+        assert a.energy == b.energy
+        assert sorted(a.trace) == sorted(b.trace)
+        for signal in a.trace:
+            assert np.array_equal(a.trace[signal], b.trace[signal]), signal
 
     def test_monolithic_cells_are_rejected_by_bank_runner(self):
         from repro.experiments import bankable_scheme, run_cells_banked
