@@ -8,9 +8,10 @@ Two gates on the third layer:
   absolute floor and agree bit-exactly (the exactness contract,
   re-checked here because a perf regression that breaks it would
   otherwise hide in the oracle's smaller scenario).  The banked/scalar
-  ratio is reported, not gated — at rack scale the fusion window is one
-  rack period and per-board budgets make commands diverge, so scalar
-  per-board stepping is legitimately competitive;
+  ratio is reported, not gated: each rack period is one bank window of
+  ``rack_period / sim_dt`` ticks with every lane on its own DVFS pair,
+  and at a few lanes per window the scalar per-board fast path is
+  legitimately competitive;
 * **control overhead** — the rack layer's own work (declared sensing,
   cap distribution, budget governors, dispatch, trace bookkeeping) must
   cost < 5 % of plant stepping.  :class:`~repro.rack.rack.Rack` splits
@@ -28,6 +29,7 @@ ledger.
 
 import gc
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -140,6 +142,7 @@ def run_benchmarks(quick=False, verbose=True):
     return {
         "bench": "rack",
         "quick": bool(quick),
+        "cpu_count": os.cpu_count(),
         "elapsed_s": time.perf_counter() - t0,
         "throughput": {
             "cells": cells,
@@ -166,11 +169,11 @@ def test_rack_control_overhead():
 def test_rack_throughput_and_exactness():
     """Both stepping paths clear the floor and stay bit-identical.
 
-    The banked/scalar ratio is reported, not gated: at rack scale the
-    fusion window is one rack period and per-board budgets make commands
-    diverge, so the scalar per-board fastpath is legitimately
-    competitive (the bank's 4x floor lives in ``bench_perf.py`` at
-    B=16 with a shared schedule).
+    The banked/scalar ratio is reported, not gated: the rack steps each
+    period as one bank window of ``rack_period / sim_dt`` ticks with a
+    handful of lanes, where the scalar per-board fast path is
+    legitimately competitive (the bank's 4x floor lives in
+    ``bench_perf.py`` at B=16 with a shared schedule).
     """
     print()
     cells = measure_throughput(attempts=2, max_time=12.0)
@@ -205,11 +208,12 @@ def main(argv=None):
     if not results["throughput"]["bit_identical"]:
         failures.append("banked rack diverged from scalar stepping")
     for cell in results["throughput"]["cells"]:
-        if cell["banked_steps_per_sec"] < STEPS_PER_SEC_FLOOR:
-            failures.append(
-                f"throughput at n={cell['n_boards']} "
-                f"{cell['banked_steps_per_sec']:.0f} steps/s < "
-                f"{STEPS_PER_SEC_FLOOR:.0f}")
+        for path in ("banked", "scalar"):
+            rate = cell[f"{path}_steps_per_sec"]
+            if rate < STEPS_PER_SEC_FLOOR:
+                failures.append(
+                    f"{path} throughput at n={cell['n_boards']} "
+                    f"{rate:.0f} steps/s < {STEPS_PER_SEC_FLOOR:.0f}")
     if failures:
         print("FAIL:\n  " + "\n  ".join(failures), file=sys.stderr)
         return 1

@@ -274,16 +274,15 @@ def heterogeneous_rack_spec(n_boards=4, power_cap=None, sim_dt=0.05,
 
     Even lanes are stock XU3 boards; odd lanes run a hotter, slower-
     control-period variant — enough spec diversity to exercise every
-    heterogeneity path in the bank (per-spec plan memos, per-spec fused
-    schedule groups, per-lane thermal constants).
+    heterogeneity path in the bank (per-spec plan memos, mixed-spec
+    vector windows, per-lane thermal constants).
     """
     variants = [
         default_xu3_spec(sim_dt=sim_dt),
         _scaled_spec(sim_dt=sim_dt, control_period=1.0, ambient=38.0,
                      resistance=12.5),
     ]
-    boards = tuple(variants[i % 2] if i % 2 else default_xu3_spec(sim_dt=sim_dt)
-                   for i in range(n_boards))
+    boards = tuple(variants[i % 2] for i in range(n_boards))
     if power_cap is None:
         per_board = (boards[0].power_limit_big + boards[0].power_limit_little
                      + boards[0].board_static_power)
