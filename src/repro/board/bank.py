@@ -331,6 +331,7 @@ class BoardBank:
         self.vector_ticks = 0  # board-ticks executed by the vector kernel
         self.scalar_ticks = 0  # board-ticks finished via scalar/fastpath
         self.windows = 0  # vectorized windows executed
+        self.vector_lanes = 0  # lanes summed over vectorized windows
         self.fused_blocks = 0  # multi-period fused blocks executed
         self.fused_ticks = 0  # board-ticks executed inside fused blocks
         self.events = {"emergency": 0, "membership": 0, "plan_refused": 0,
@@ -1712,6 +1713,7 @@ class BoardBank:
             board._instant_power = {BIG: pb_out[k], LITTLE: pl_out[k]}
             board._instant_bips = plans[indices[k]].bips
         self.windows += 1
+        self.vector_lanes += B
         self.vector_ticks += ticks * B
         if self.telemetry is not None:
             self.telemetry.bank_windows.inc()

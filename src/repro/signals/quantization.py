@@ -9,11 +9,56 @@ continuous controller commands onto legal platform settings.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import struct
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["QuantizedRange"]
+
+
+def _float_bits(x):
+    """Ordinal of a non-negative float: monotone in its value."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@lru_cache(maxsize=None)
+def _fraction_table(low, high, levels):
+    """Exact breakpoints of ``f -> snap(low + f * (high - low))`` on [0, 1].
+
+    Keyed by value, so ranges with equal values (one per board spec) share
+    one table.  Returns ``(breakpoints, levels)``: the smallest fraction
+    that reaches each level, ascending.
+    """
+    snap = QuantizedRange(low, high, levels=levels).snap
+    span = high - low
+
+    def level_at(bits):
+        return snap(low + _bits_float(bits) * span)
+
+    top = _float_bits(1.0)
+    last = level_at(top)
+    breaks, reached = [0.0], [level_at(0)]
+    start = 0
+    while reached[-1] != last:
+        # Bisect the float ordering for the first fraction past ``start``
+        # whose level differs (the map is monotone, so it is higher).
+        lo, hi = start, top
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if level_at(mid) == reached[-1]:
+                lo = mid
+            else:
+                hi = mid
+        start = hi
+        breaks.append(_bits_float(hi))
+        reached.append(level_at(hi))
+    return breaks, reached
 
 
 class QuantizedRange:
@@ -29,6 +74,8 @@ class QuantizedRange:
         Explicit sorted sequence of allowed values (overrides low/high/step
         derivation but must lie within [low, high]).
     """
+
+    _fraction_table = None  # (breakpoints, levels), see fraction_table()
 
     def __init__(self, low, high, step=None, levels=None):
         if high < low:
@@ -96,6 +143,32 @@ class QuantizedRange:
         if i == len(levels):
             return len(levels) - 1
         return i - 1 if value - levels[i - 1] <= levels[i] - value else i
+
+    def snap_fraction(self, fraction):
+        """``snap(low + fraction * (high - low))``, read from a table.
+
+        On ``0 <= fraction <= 1`` that map is a monotone step function:
+        each float operation in it is monotone in ``fraction``, and so is
+        nearest-level with ties to the lower level.  A table of its exact
+        breakpoints (the smallest fraction reaching each level) therefore
+        returns the identical level with one bisect.  Any other fraction,
+        NaN included, takes the direct path.
+        """
+        if not 0.0 <= fraction <= 1.0:
+            return self.snap(self.low + fraction * (self.high - self.low))
+        breaks, levels = self._fraction_table or self.fraction_table()
+        return levels[bisect_right(breaks, fraction) - 1]
+
+    def fraction_table(self):
+        """``(breakpoints, levels)`` behind :meth:`snap_fraction`.
+
+        Built on first use and shared by every range with the same
+        values; callers on a hot path can build it ahead of time.
+        """
+        if self._fraction_table is None:
+            self._fraction_table = _fraction_table(
+                self.low, self.high, tuple(self._levels_list))
+        return self._fraction_table
 
     def contains(self, value, tol=1e-9):
         """Whether ``value`` is (within tolerance) an allowed level."""

@@ -248,6 +248,16 @@ class TestBankBitIdentity:
         assert executed[1] == spec.period_steps()
         assert boards[0].time == 0.0 and boards[2].time == 0.0
 
+    def test_vector_lanes_counts_lanes_per_window(self):
+        spec = default_xu3_spec()
+        boards = [Board(make_application("mcf"), spec=spec, seed=k,
+                        record=False) for k in range(3)]
+        bank = BoardBank(boards, telemetry=None)
+        bank.run_period_bank(spec.period_steps(), only=[0, 2])
+        assert bank.windows > 0
+        assert bank.vector_lanes == 2 * bank.windows
+        assert bank.vector_ticks == 2 * spec.period_steps()
+
 
 # ---------------------------------------------------------------------------
 # Scalar fallback: tick hooks and disabled vector path

@@ -44,6 +44,41 @@ class TestQuantizedRangeProperties:
         assert abs(qr.snap(value) - clamped) <= qr.quantization_radius() + 1e-9
 
     @given(
+        low=st.floats(min_value=-10, max_value=10, allow_nan=False),
+        span=st.floats(min_value=0.1, max_value=20, allow_nan=False),
+        n_levels=st.integers(min_value=1, max_value=24),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_snap_fraction_equals_direct_snap(self, low, span, n_levels,
+                                              fraction):
+        """The breakpoint table returns exactly snap(low + f * span),
+        including on both sides of every breakpoint."""
+        step = span / (n_levels - 1) if n_levels > 1 else 2 * span
+        qr = QuantizedRange(low, low + span, step=step)
+
+        def direct(f):
+            return qr.snap(qr.low + f * (qr.high - qr.low))
+
+        assert qr.snap_fraction(fraction) == direct(fraction)
+        breaks, levels = qr.fraction_table()
+        assert levels == sorted(set(levels))
+        for b in breaks:
+            for f in (np.nextafter(b, -1.0), b, np.nextafter(b, 2.0)):
+                if 0.0 <= f <= 1.0:
+                    assert qr.snap_fraction(f) == direct(f)
+
+    def test_snap_fraction_on_the_dvfs_grids_and_outside_unit(self):
+        spec = default_xu3_spec()
+        for qr in (spec.big.freq_range, spec.little.freq_range):
+            breaks, _ = qr.fraction_table()
+            assert len(breaks) == qr.n_levels
+            for f in list(np.linspace(0.0, 1.0, 1001)) + [-0.0, -0.5, 1.5,
+                                                          float("nan")]:
+                want = qr.snap(qr.low + f * (qr.high - qr.low))
+                assert qr.snap_fraction(f) == want
+
+    @given(
         levels=st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False),
                         min_size=1, max_size=8, unique=True),
     )

@@ -105,7 +105,7 @@ class TestDemandWeightProperties:
         readings = [BoardReading(power=p, headroom=0.0, queue_depth=depths,
                                  busy=True)
                     for p in powers]
-        weights = ctl._demand_weights(readings)
+        _, weights, _ = ctl._demand_weights(readings)
         assert len(weights) == len(powers)
         assert all(w >= 0.0 for w in weights)
         for w, r in zip(weights, readings):
