@@ -18,6 +18,13 @@ Two gates on the third layer:
   its wall clock into ``step_wall`` (inside the bank / scalar stepping)
   and ``loop_wall`` (the whole period loop); the gate holds their ratio.
 
+A third section records, ungated, what the SSV controller's gain
+synthesis costs: ``select_integral_gain`` (the lockstep mu sweep) at
+N in {1, 4, 8}, best of three, with the gain it chose and its
+``mu_history``.  There is no time floor: wall time on a shared machine
+swings too much to gate, and the chosen gain is pinned bit-exactly by
+the ``mu-batch-vs-reference`` oracle instead.
+
 Methodology matches the other benches: a warm-up run swallows import and
 plan-cache cold costs, GC is disabled inside timed regions, each gate
 takes the best of several attempts (noise only inflates a sample), and
@@ -131,6 +138,31 @@ def measure_control_overhead(attempts=ATTEMPTS, max_time=MAX_SIM_TIME,
     return best
 
 
+def measure_synthesis(board_counts=BOARD_COUNTS, attempts=3,
+                      verbose=True):
+    """Seconds per ``select_integral_gain`` call (best of ``attempts``)."""
+    from repro.rack import select_integral_gain
+
+    cells = []
+    for n in board_counts:
+        best = None
+        for _ in range(attempts):
+            t0 = time.perf_counter()
+            gain, history = select_integral_gain(n)
+            elapsed = time.perf_counter() - t0
+            best = elapsed if best is None else min(best, elapsed)
+        cells.append({
+            "n_boards": n,
+            "seconds": best,
+            "gain": gain,
+            "mu_history": [[g, peak] for g, peak in history],
+        })
+        if verbose:
+            print(f"synthesis n={n}: {best * 1000:.1f} ms, gain {gain} "
+                  f"after {len(history)} candidate(s)")
+    return {"cells": cells, "attempts": attempts}
+
+
 def run_benchmarks(quick=False, verbose=True):
     attempts = 2 if quick else ATTEMPTS
     max_time = 12.0 if quick else MAX_SIM_TIME
@@ -139,6 +171,7 @@ def run_benchmarks(quick=False, verbose=True):
                                verbose=verbose)
     overhead = measure_control_overhead(attempts=attempts,
                                         max_time=max_time, verbose=verbose)
+    synthesis = measure_synthesis(verbose=verbose)
     return {
         "bench": "rack",
         "quick": bool(quick),
@@ -150,6 +183,7 @@ def run_benchmarks(quick=False, verbose=True):
             "bit_identical": all(c["bit_identical"] for c in cells),
         },
         "overhead": overhead,
+        "synthesis": synthesis,
     }
 
 

@@ -17,7 +17,13 @@ from .augmentation import AugmentedPlant, ChannelMap, build_generalized_plant
 from .dk import DKResult, dk_synthesize
 from .hinf import HinfResult, SynthesisError, hinf_synthesize
 from .riccati import RiccatiError, care_hamiltonian, solve_hinf_riccati
-from .ssv import MuAnalysis, mu_bounds_over_frequency, mu_lower_bound, mu_upper_bound
+from .ssv import (
+    MuAnalysis,
+    mu_bounds_over_frequency,
+    mu_lower_bound,
+    mu_upper_bound,
+    mu_upper_bounds,
+)
 from .uncertainty import (
     BlockStructure,
     UncertaintyBlock,
@@ -47,6 +53,7 @@ __all__ = [
     "mu_bounds_over_frequency",
     "mu_lower_bound",
     "mu_upper_bound",
+    "mu_upper_bounds",
     "BlockStructure",
     "UncertaintyBlock",
     "guardband_weight",

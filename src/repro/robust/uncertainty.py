@@ -47,6 +47,8 @@ class BlockStructure:
     must equal dim(d).
     """
 
+    _expansion = None  # (row, col) block indices, built on first use
+
     def __init__(self, blocks):
         self.blocks = list(blocks)
         if not self.blocks:
@@ -91,6 +93,21 @@ class BlockStructure:
             c += block.cols
         return delta
 
+    def expansion(self):
+        """Block index of every row and every column, as two int arrays.
+
+        ``scales[rows]`` / ``scales[cols]`` expand one scale per block to
+        the diagonal of the left / right D-scaling; computed once per
+        structure.
+        """
+        if self._expansion is None:
+            rows = np.repeat(np.arange(len(self.blocks)),
+                             [b.rows for b in self.blocks])
+            cols = np.repeat(np.arange(len(self.blocks)),
+                             [b.cols for b in self.blocks])
+            self._expansion = (rows, cols)
+        return self._expansion
+
     def scaling_matrices(self, log_scales):
         """Build (D_left, D_right) from one log-scale per block.
 
@@ -100,12 +117,8 @@ class BlockStructure:
         scales = np.exp(np.asarray(log_scales, dtype=float))
         if scales.size != len(self.blocks):
             raise ValueError("need one scale per block")
-        d_left = np.zeros(self.total_rows)
-        d_right = np.zeros(self.total_cols)
-        for (block, row_sl, col_sl), scale in zip(self.block_slices(), scales):
-            d_left[row_sl] = scale
-            d_right[col_sl] = scale
-        return np.diag(d_left), np.diag(1.0 / d_right)
+        rows, cols = self.expansion()
+        return np.diag(scales[rows]), np.diag(1.0 / scales[cols])
 
     def __len__(self):
         return len(self.blocks)

@@ -72,6 +72,10 @@ __all__ = ["ExperimentServer", "ServerHandle", "serve_background"]
 
 _SERVER_NAME = "repro-serve"
 
+# Largest request body the server reads.  A larger declared
+# Content-Length is refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class _Work:
     """One admitted request waiting for (or sharing) an execution."""
@@ -591,7 +595,25 @@ class ExperimentServer:
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
                 body = b""
-                length = int(headers.get("content-length", 0) or 0)
+                raw_length = headers.get("content-length", "0")
+                if not (raw_length.isascii() and raw_length.isdigit()):
+                    self._count("bad_requests")
+                    await self._respond(writer, 400, {
+                        "ok": False, "error": "bad-content-length",
+                        "detail": f"Content-Length {raw_length!r} is not "
+                                  "a non-negative integer"},
+                        keep_alive=False)
+                    break
+                length = int(raw_length)
+                if length > MAX_BODY_BYTES:
+                    self._count("bad_requests")
+                    await self._respond(writer, 413, {
+                        "ok": False, "error": "body-too-large",
+                        "detail": f"Content-Length {length} exceeds "
+                                  f"{MAX_BODY_BYTES} bytes",
+                        "limit": MAX_BODY_BYTES},
+                        keep_alive=False)
+                    break
                 if length:
                     body = await reader.readexactly(length)
                 keep_alive = headers.get("connection", "").lower() != "close"
@@ -738,8 +760,8 @@ class ExperimentServer:
                 pass
 
     _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                429: "Too Many Requests", 500: "Internal Server Error",
-                504: "Gateway Timeout"}
+                413: "Content Too Large", 429: "Too Many Requests",
+                500: "Internal Server Error", 504: "Gateway Timeout"}
 
     async def _respond(self, writer, status, body,
                        content_type="application/json", extra_headers=None,

@@ -24,6 +24,10 @@ name, both values, and the ULP distance between them:
   (:mod:`repro.lqg.synthesis`, scipy Riccati solvers) vs an independent
   textbook fixed-point Riccati recursion.  Agrees within a documented
   tolerance (iterative vs direct solvers).
+* :func:`oracle_mu_batch` — the lockstep mu upper-bound kernel
+  (:func:`repro.robust.mu_upper_bounds`) vs a per-matrix coordinate
+  descent, on the rack's gain-selection channels and the D-K closed
+  loops.  Must be **bit-exact**.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "oracle_cache",
     "oracle_serve",
     "oracle_lqg_reference",
+    "oracle_mu_batch",
 ]
 
 
@@ -1026,3 +1031,170 @@ def oracle_rack_resume(seed=5, max_time=200.0, jobs=2, checkpoint_dir=None):
     finally:
         if tmp is not None:
             tmp.cleanup()
+
+
+# ---------------------------------------------------------------------------
+# mu oracle: the lockstep kernel vs the per-matrix coordinate descent
+# ---------------------------------------------------------------------------
+def _reference_scaled_norm(M, structure, log_scales):
+    """sigma_max(D M D^-1) with dense diagonal products, one matrix."""
+    scales = np.exp(np.asarray(log_scales, dtype=float))
+    d_left = np.zeros(structure.total_rows)
+    d_right = np.zeros(structure.total_cols)
+    for (block, row_sl, col_sl), scale in zip(structure.block_slices(),
+                                              scales):
+        d_left[row_sl] = scale
+        d_right[col_sl] = scale
+    d_left, d_right_inv = np.diag(d_left), np.diag(1.0 / d_right)
+    return float(np.linalg.svd(d_left @ M @ d_right_inv, compute_uv=False)[0])
+
+
+def _reference_mu_upper_bound(M, structure, iterations=60):
+    """Per-matrix mu upper bound: Osborne seed, then coordinate descent.
+
+    The one-matrix-at-a-time algorithm that
+    :func:`repro.robust.mu_upper_bounds` runs in lockstep over a stack;
+    kept here only as the oracle's reference.
+    """
+    M = np.asarray(M, dtype=complex)
+    n_blocks = len(structure)
+    log_scales = np.zeros(n_blocks)
+    if n_blocks == 1:
+        return float(np.linalg.svd(M, compute_uv=False)[0]), log_scales
+    for _ in range(10):
+        for i, (block, row_sl, col_sl) in enumerate(structure.block_slices()):
+            row_norm = np.linalg.norm(M[row_sl, :]) * np.exp(log_scales[i])
+            col_norm = np.linalg.norm(M[:, col_sl]) * np.exp(-log_scales[i])
+            if row_norm > 1e-14 and col_norm > 1e-14:
+                log_scales[i] += 0.5 * (np.log(col_norm) - np.log(row_norm))
+    log_scales -= log_scales[-1]
+    best = _reference_scaled_norm(M, structure, log_scales)
+    step = 0.5
+    for _ in range(iterations):
+        improved = False
+        for i in range(n_blocks - 1):
+            for direction in (+1.0, -1.0):
+                trial = log_scales.copy()
+                trial[i] += direction * step
+                value = _reference_scaled_norm(M, structure, trial)
+                if value < best - 1e-12:
+                    best = value
+                    log_scales = trial
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < 1e-4:
+                break
+    return float(best), log_scales
+
+
+def _reference_select_integral_gain(n_boards, guardband, gain_grid, points):
+    """Frequency-by-frequency gain sweep over the reference mu bound."""
+    import math
+
+    from ..rack.controllers import _closed_loop_channel
+    from ..robust import BlockStructure, UncertaintyBlock
+
+    n = n_boards
+    weights = [1.0 / n] * n
+    structure = BlockStructure([
+        UncertaintyBlock("repeated", 1, 1, name=f"g_{i}") for i in range(n)
+    ])
+    omegas = np.linspace(0.02, math.pi, points)
+    history = []
+    chosen = None
+    for gain in sorted(gain_grid, reverse=True):
+        peak = 0.0
+        for omega in omegas:
+            z = complex(math.cos(omega), math.sin(omega))
+            M = guardband * _closed_loop_channel(n, gain, weights, z)
+            bound, _ = _reference_mu_upper_bound(M, structure)
+            peak = max(peak, bound)
+            if peak > 1.0:
+                break
+        history.append((gain, peak))
+        if peak <= 1.0 and chosen is None:
+            chosen = gain
+            break
+    if chosen is None:
+        chosen = min(gain_grid)
+    return chosen, history
+
+
+def _check_mu_stack(cmp, label, Ms, structure):
+    """Kernel on the whole stack vs the reference matrix by matrix."""
+    from ..robust import mu_upper_bounds
+
+    bounds, scales = mu_upper_bounds(Ms, structure)
+    for k, M in enumerate(Ms):
+        ref_bound, ref_scales = _reference_mu_upper_bound(M, structure)
+        cmp.check((label, k), "bound", bounds[k], ref_bound)
+        cmp.check_array(f"{label}[{k}]/log_scales", scales[k], ref_scales)
+    return bounds
+
+
+def oracle_mu_batch(context, rack_boards=(1, 4, 8, 16), guardband=0.4,
+                    points=24):
+    """Lockstep mu kernel vs the per-matrix reference; must be 0 ULP.
+
+    Three inputs, each compared bound by bound and log-scale by
+    log-scale: the rack's budget-loop channels at every grid gain and
+    frequency, stacked whole per rack size; the closed-loop channels of
+    the context's hardware and software D-K runs at every grid
+    frequency; and ``select_integral_gain``'s ``(gain, mu_history)``
+    against the frequency-by-frequency sweep.  Non-vacuity: the D-K
+    channels must be multi-block, and the kernel's bounds must equal the
+    ones D-K recorded for its design.
+    """
+    import math
+
+    from ..rack.controllers import _closed_loop_channel, select_integral_gain
+    from ..robust import BlockStructure, UncertaintyBlock
+
+    gain_grid = (1.0, 0.8, 0.65, 0.5, 0.4, 0.3, 0.2)
+    omegas = np.linspace(0.02, math.pi, points)
+    cmp = _Comparator(tolerance_ulp=0.0)
+    matrices = 0
+    for n in rack_boards:
+        structure = BlockStructure([
+            UncertaintyBlock("repeated", 1, 1, name=f"g_{i}")
+            for i in range(n)
+        ])
+        weights = [1.0 / n] * n
+        Ms = [
+            guardband * _closed_loop_channel(
+                n, gain, weights, complex(math.cos(omega), math.sin(omega)))
+            for gain in gain_grid for omega in omegas
+        ]
+        _check_mu_stack(cmp, f"rack n={n}", Ms, structure)
+        matrices += len(Ms)
+        gain, history = select_integral_gain(n, guardband=guardband,
+                                             gain_grid=gain_grid,
+                                             points=points)
+        ref_gain, ref_history = _reference_select_integral_gain(
+            n, guardband, gain_grid, points)
+        cmp.check(f"select n={n}", "gain", gain, ref_gain)
+        cmp.check(f"select n={n}", "history_length", float(len(history)),
+                  float(len(ref_history)))
+        for (g, peak), (ref_g, ref_peak) in zip(history, ref_history):
+            cmp.check(f"select n={n}", f"history[{ref_g}].gain", g, ref_g)
+            cmp.check(f"select n={n}", f"history[{ref_g}].peak", peak,
+                      ref_peak)
+    blocks = {}
+    for label, design in (("hw", context.get_hw_design()),
+                          ("sw", context.get_sw_design())):
+        mu = design.dk_result.mu
+        if mu.channel is None:  # a design from before channels were kept
+            cmp.check(f"dk {label}", "channel_recorded", 0.0, 1.0)
+            continue
+        Ms = [mu.channel.at_frequency(omega) for omega in mu.omegas]
+        bounds = _check_mu_stack(cmp, f"dk {label}", Ms, mu.structure)
+        cmp.check_array(f"dk {label}/recorded_upper", bounds, mu.upper)
+        matrices += len(Ms)
+        blocks[label] = len(mu.structure)
+        cmp.check("coverage", f"dk_{label}_multiblock",
+                  float(len(mu.structure) >= 2), 1.0)
+    return cmp.result("mu-batch-vs-reference", details={
+        "rack_boards": list(rack_boards), "matrices": matrices,
+        "dk_blocks": blocks,
+    })

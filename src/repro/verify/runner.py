@@ -10,8 +10,9 @@ pillars and folds the outcomes into a :class:`VerifyReport`:
 2. **Differential oracles** — fastpath vs scalar, parallel vs serial,
    interrupted+resumed vs uninterrupted, cached vs fresh synthesis, the
    control-plane service (coalescing + bank batching + JSON wire) vs
-   direct execution (all bit-exact), and LQG vs the textbook Riccati
-   recursion (documented relative tolerance).
+   direct execution, the lockstep mu kernel vs the per-matrix descent
+   (all bit-exact), and LQG vs the textbook Riccati recursion
+   (documented relative tolerance).
 3. **Golden traces** — the canonical matrix replayed against
    ``tests/golden/`` (or re-minted with ``regen_golden=True``).
 """
@@ -37,6 +38,7 @@ from .oracles import (
     oracle_cache,
     oracle_fastpath,
     oracle_lqg_reference,
+    oracle_mu_batch,
     oracle_parallel_matrix,
     oracle_rack,
     oracle_rack_resume,
@@ -210,6 +212,8 @@ def run_verify(quick=True, regen_golden=False, golden_dir=None, samples=None,
         )
     _log("verify: oracle lqg-vs-textbook...")
     report.oracles.append(oracle_lqg_reference())
+    _log("verify: oracle mu-batch-vs-reference...")
+    report.oracles.append(oracle_mu_batch(context))
     for oracle in report.oracles:
         _log("verify: " + oracle.render().splitlines()[0])
 

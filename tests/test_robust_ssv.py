@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lti import StateSpace
 from repro.robust import (
@@ -11,9 +12,11 @@ from repro.robust import (
     mu_bounds_over_frequency,
     mu_lower_bound,
     mu_upper_bound,
+    mu_upper_bounds,
     quantization_uncertainty,
 )
 from repro.signals import QuantizedRange
+from repro.verify.oracles import _reference_mu_upper_bound
 
 
 class TestUncertaintyBlocks:
@@ -131,3 +134,82 @@ class TestMuOverFrequency:
         assert not analysis.robust
         # Peak of |5/(z-0.5)| is 10 at DC.
         assert analysis.peak_upper == pytest.approx(10.0, rel=0.05)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@st.composite
+def _mixed_structures(draw):
+    blocks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        size = draw(st.integers(min_value=1, max_value=4))
+        if draw(st.booleans()):
+            blocks.append(UncertaintyBlock("repeated", size, size))
+        else:
+            cols = draw(st.integers(min_value=1, max_value=4))
+            blocks.append(UncertaintyBlock("full", size, cols))
+    return BlockStructure(blocks)
+
+
+@st.composite
+def _matrix_stacks(draw, structure):
+    """1-30 matrices: random ones, exact duplicates, near-zero rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (structure.total_rows, structure.total_cols)
+    distinct = draw(st.integers(min_value=1, max_value=8))
+    base = rng.normal(size=(distinct,) + shape) \
+        + 1j * rng.normal(size=(distinct,) + shape)
+    base *= rng.uniform(0.1, 10.0, size=(distinct, 1, 1))
+    count = draw(st.integers(min_value=1, max_value=30))
+    Ms = base[rng.integers(0, distinct, size=count)]
+    for k in range(count):
+        if rng.uniform() < 0.3:
+            row = rng.integers(0, shape[0])
+            Ms[k, row, :] *= draw(st.sampled_from([0.0, 1e-17, 1e-9]))
+    return Ms
+
+
+class TestLockstepKernel:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_matrix_reference_in_bits(self, data):
+        structure = data.draw(_mixed_structures())
+        Ms = data.draw(_matrix_stacks(structure))
+        bounds, scales = mu_upper_bounds(Ms, structure)
+        for k, M in enumerate(Ms):
+            ref_bound, ref_scales = _reference_mu_upper_bound(M, structure)
+            assert _bits([bounds[k]]) == _bits([ref_bound])
+            assert _bits(scales[k]) == _bits(ref_scales)
+            # A matrix's result must not depend on its stack neighbours,
+            # which stop descending at different iterations.
+            alone, alone_scales = mu_upper_bounds(Ms[k:k + 1], structure)
+            assert _bits(alone) == _bits([bounds[k]])
+            assert _bits(alone_scales[0]) == _bits(scales[k])
+
+    def test_single_matrix_is_stack_of_one(self, rng):
+        structure = BlockStructure([
+            UncertaintyBlock("full", 2, 1),
+            UncertaintyBlock("repeated", 2, 2),
+        ])
+        M = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        bound, scales = mu_upper_bound(M, structure)
+        bounds, stack_scales = mu_upper_bounds(M[None], structure)
+        assert isinstance(bound, float)
+        assert _bits([bound]) == _bits(bounds)
+        assert _bits(scales) == _bits(stack_scales[0])
+
+    def test_stack_shape_mismatch_rejected(self, rng):
+        structure = BlockStructure([UncertaintyBlock("full", 2, 2)])
+        with pytest.raises(ValueError):
+            mu_upper_bounds(rng.normal(size=(3, 3)), structure)
+        with pytest.raises(ValueError):
+            mu_upper_bounds(rng.normal(size=(4, 3, 3)), structure)
+
+    def test_empty_stack(self):
+        structure = BlockStructure([UncertaintyBlock("full", 1, 1),
+                                    UncertaintyBlock("full", 1, 1)])
+        bounds, scales = mu_upper_bounds(np.zeros((0, 2, 2)), structure)
+        assert bounds.shape == (0,)
+        assert scales.shape == (0, 2)

@@ -10,6 +10,7 @@ deterministically, without simulating anything.
 
 import json
 import os
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +28,7 @@ from repro.serve import (
     serve_background,
 )
 from repro.serve.protocol import ServeRequest, result_to_wire
+from repro.serve.server import MAX_BODY_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +230,68 @@ class TestServeBasics:
     def test_metrics_404_without_telemetry(self, client):
         status, _ = client.request("GET", "/metrics")
         assert status == 404
+
+
+def _raw_exchange(server, head):
+    """Send raw request bytes; read until the server closes the socket."""
+    with socket.create_connection((server.server.host, server.server.port),
+                                  timeout=30.0) as sock:
+        sock.sendall(head)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:  # the server closed the connection
+                break
+            chunks.append(chunk)
+    raw = b"".join(chunks)
+    head_bytes, _, body = raw.partition(b"\r\n\r\n")
+    lines = head_bytes.decode("latin-1").split("\r\n")
+    status = int(lines[0].split()[1])
+    headers = {k.strip().lower(): v.strip()
+               for k, _, v in (line.partition(":") for line in lines[1:])}
+    return status, headers, json.loads(body)
+
+
+class TestContentLength:
+    """A hostile Content-Length gets a structured error and a close."""
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1e3", ""])
+    def test_malformed_length_is_400_and_closes(self, server, value):
+        status, headers, body = _raw_exchange(server, (
+            "POST /run HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {value}\r\n\r\n").encode("latin-1"))
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert body["ok"] is False
+        assert body["error"] == "bad-content-length"
+        with ServeClient(server.url, timeout=30.0) as fresh:
+            assert fresh.healthz()["ok"] is True
+
+    def test_oversized_length_is_413_without_reading_body(self, server):
+        # Only the head is sent: a server that tried to read the declared
+        # body would block until the socket timeout instead of answering.
+        status, headers, body = _raw_exchange(server, (
+            "POST /run HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        ).encode("latin-1"))
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert body["error"] == "body-too-large"
+        assert body["limit"] == MAX_BODY_BYTES
+        with ServeClient(server.url, timeout=30.0) as fresh:
+            assert fresh.healthz()["ok"] is True
+
+    def test_length_at_limit_is_read(self, server):
+        payload = b" " * (MAX_BODY_BYTES - 2) + b"{}"
+        status, _, body = _raw_exchange(server, (
+            "POST /run HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n"
+        ).encode("latin-1") + payload)
+        # The body was read and parsed: an empty request is a 400 from
+        # request validation, not a transport error.
+        assert status == 400
+        assert body["error"] != "body-too-large"
+        assert body["error"] != "bad-content-length"
 
 
 class TestCoalescing:

@@ -341,6 +341,31 @@ class TestOracles:
         assert result.details["worst_rel_error"] < 1e-6
         assert "rtol" in result.render()
 
+    def test_mu_batch_bit_exact(self, design_context):
+        from repro.verify.oracles import oracle_mu_batch
+
+        result = oracle_mu_batch(design_context, rack_boards=(1, 4))
+        assert result.agree, result.render()
+        assert result.max_ulp == 0
+        assert set(result.details["dk_blocks"]) == {"hw", "sw"}
+
+    def test_mu_batch_catches_a_one_ulp_kernel_drift(self, design_context,
+                                                      monkeypatch):
+        import repro.robust
+        from repro.verify.oracles import oracle_mu_batch
+
+        kernel = repro.robust.mu_upper_bounds
+
+        def drifting(Ms, structure, iterations=60):
+            bounds, scales = kernel(Ms, structure, iterations)
+            return np.nextafter(bounds, np.inf), scales
+
+        monkeypatch.setattr(repro.robust, "mu_upper_bounds", drifting)
+        result = oracle_mu_batch(design_context, rack_boards=(1,))
+        assert not result.agree
+        assert result.max_ulp == 1
+        assert result.divergence.signal == "bound"
+
     def test_divergence_reporting(self):
         # A disagreeing pair must produce a localized first-divergence
         # report (step, signal, ULP), not silent agreement.
